@@ -15,8 +15,7 @@
     blow-up or worker-domain death degrades that one segment instead of
     aborting the run. The unfused strategy is always constructible and
     always schedulable (each kernel waits only on graph predecessors), so
-    the ladder has a guaranteed floor. [fail_fast] restores the old
-    behaviour of raising at the first per-segment failure. *)
+    the ladder has a guaranteed floor. *)
 
 open Ir
 
@@ -26,7 +25,6 @@ module Error = struct
   type site =
     | Transform
     | Enumerate
-    | Profile
     | Solve
     | Schedule
     | Worker
@@ -36,7 +34,6 @@ module Error = struct
   let site_to_string = function
     | Transform -> "transform"
     | Enumerate -> "enumerate"
-    | Profile -> "profile"
     | Solve -> "solve"
     | Schedule -> "schedule"
     | Worker -> "worker"
@@ -90,7 +87,6 @@ type outcome = {
   retries : int;  (** worker-domain failures retried on the main domain *)
   fallback_reason : string option;
       (** first failure that pushed the segment down the ladder *)
-  time_limit_hit : bool;  (** BLP CPU-time safety net bound (see config) *)
   transform_degraded : bool;
       (** transformation search failed; plain CSE (or the raw segment)
           was used instead *)
@@ -100,7 +96,6 @@ let ok_outcome = {
   tier = Optimal;
   retries = 0;
   fallback_reason = None;
-  time_limit_hit = false;
   transform_degraded = false;
 }
 
@@ -117,42 +112,13 @@ type config = {
   precision : Gpu.Precision.t;
   identifier : Kernel_identifier.config;
   partition_max_prims : int;
-  max_candidates : int;
-      (** candidate-explosion guard: a segment whose identified candidate
-          set exceeds this is deterministically pruned down to
-          [prune_candidates_to] before the BLP. Parallel same-shape
-          branches (e.g. a transformer's q/k/v projections) can blow the
-          convex-subgraph count past what branch-and-bound tolerates even
-          though every other segment of the model is routine; pruning
-          bounds the solve without touching well-behaved segments *)
-  prune_candidates_to : int;
-      (** how many candidates survive when the [max_candidates] guard
-          fires: every full singleton (the ladder floor and warm start)
-          plus the multi-primitive candidates with the largest latency
-          gain over their members' singletons, ties broken by candidate
-          index — a deterministic ranking, so pruned plans reproduce *)
   use_transform : bool;
-  transform_budget : int;
   ilp_node_limit : int;
-      (** per-segment BLP budget as a branch-and-bound node count. Node
-          counts are a deterministic measure of solver work — unlike CPU
-          time, which other worker domains inflate — so the same segment
-          stops at the same incumbent for every [jobs] value and on every
-          run *)
-  ilp_time_limit_s : float;
-      (** safety net only: CPU-time cap on one BLP solve so a pathological
-          segment cannot hang the pipeline. If it ever binds (it should
-          not — [ilp_node_limit] is the intended budget), the plan may
-          stop being reproducible across [jobs] values, because CPU time
-          advances faster when several domains run concurrently. Binding
-          is surfaced via [outcome.time_limit_hit] *)
-  ilp_rel_gap : float;
-      (** relative optimality tolerance passed to the BLP solver; 0 proves
-          optimality, small values (e.g. 0.002) cut solve time sharply *)
-  ilp_abs_gap_launches : float;
-      (** absolute tolerance in units of kernel-launch overheads: two
-          strategies within a fraction of one launch are equivalent in
-          practice, so proving which is better is wasted solver time *)
+      (** per-segment BLP budget as a branch-and-bound node count, the
+          solver's only budget. Node counts are a deterministic measure
+          of solver work — unlike wall-clock time, which other worker
+          domains inflate — so the same segment stops at the same
+          incumbent for every [jobs] value and on every run *)
   allow_redundancy : bool;
       (** §4.2's relaxation: primitives may execute in several kernels.
           Disable for the ablation (prior-work-style disjoint partitions) *)
@@ -171,15 +137,6 @@ type config = {
           in segment order and the profile cache resolves each distinct
           kernel exactly once. CLI and bench entry points default to
           {!Parallel.Domain_pool.default_jobs} instead *)
-  fail_fast : bool;
-      (** raise {!Orchestration_failed} at the first per-segment failure
-          instead of walking the degradation ladder (the pre-ladder
-          behaviour). Stitch and final-verification failures always
-          raise — there is no sound plan to degrade to at that point *)
-  faults : (Faults.site * Faults.spec) list;
-      (** fault-injection policy installed (with [fault_seed]) for the
-          duration of the run; [[]] (default) leaves injection untouched *)
-  fault_seed : int;  (** seed for probabilistic fault rules *)
   deadline : deadline option;
       (** per-request wall-clock deadline ([None] = unconstrained, the
           default). As the deadline approaches, each segment scales
@@ -197,22 +154,31 @@ let default_config =
     precision = Gpu.Precision.FP32;
     identifier = Kernel_identifier.default_config;
     partition_max_prims = 12;
-    max_candidates = 768;
-    prune_candidates_to = 96;
     use_transform = true;
-    transform_budget = 40;
     ilp_node_limit = 1200;
-    ilp_time_limit_s = 300.0;
-    ilp_rel_gap = 0.002;
-    ilp_abs_gap_launches = 0.4;
     allow_redundancy = true;
     check_invariants = true;
     jobs = 1;
-    fail_fast = false;
-    faults = [];
-    fault_seed = 1;
     deadline = None;
   }
+
+(* Candidate-explosion guard (see [prune_candidates]): a segment
+   identifying more than [max_candidates] candidates is pruned down to
+   [prune_candidates_to]. The trigger sits above the worst well-behaved
+   segment in the zoo, so only genuine explosions (the decode QKV
+   segment) are pruned. *)
+let max_candidates = 768
+let prune_candidates_to = 96
+
+(* Graph expansions per segment transformation search. *)
+let transform_budget = 40
+
+(* BLP optimality tolerances: relative (0 would prove optimality; a small
+   value cuts solve time sharply) and absolute, in kernel-launch
+   overheads — strategies within a fraction of one launch are
+   equivalent in practice, so proving which is better is wasted work. *)
+let ilp_rel_gap = 0.002
+let ilp_abs_gap_launches = 0.4
 
 (** How the static-analysis hazard cross-check of the stitched plan's
     memory planning fared. An analyzer {e crash} (or injected [Analysis]
@@ -260,7 +226,6 @@ type result = {
   tuning_time_s : float;  (** simulated profiling cost (Table 2) *)
   degraded_segments : int list;
       (** indices of segments that fell to [Greedy] or [Unfused] *)
-  time_limit_hits : int;  (** segments whose BLP CPU-time safety net bound *)
   truncated_segments : int list;
       (** indices of segments whose state enumeration was truncated *)
   memory : Runtime.Memplan.stats;
@@ -348,17 +313,17 @@ let ensure_singletons (cfg : config) ~(cache : Gpu.Profile_cache.t) (g : Primgra
    segment's convex-subgraph count into the thousands, where each
    branch-and-bound node LP (one column per candidate) costs seconds and
    even the node budget cannot bound wall-clock usefully. When the
-   identified set exceeds [cfg.max_candidates], keep every single-member
+   identified set exceeds [max_candidates], keep every single-member
    candidate (the ladder floor / warm-start material) plus the
    multi-primitive candidates with the largest latency gain over their
    members' cheapest full singletons — the same signal greedy fusion
-   ranks by — down to [cfg.prune_candidates_to]. Ranking is (gain desc,
+   ranks by — down to [prune_candidates_to]. Ranking is (gain desc,
    index asc): fully deterministic, so pruned plans reproduce run to
    run. *)
-let prune_candidates (cfg : config) (g : Primgraph.t) (candidates : Candidate.t array) :
+let prune_candidates (g : Primgraph.t) (candidates : Candidate.t array) :
     Candidate.t array * int =
   let total = Array.length candidates in
-  if total <= Stdlib.max cfg.max_candidates cfg.prune_candidates_to then (candidates, 0)
+  if total <= max_candidates then (candidates, 0)
   else begin
     let n = Graph.length g in
     let single = Array.make n Float.infinity in
@@ -391,7 +356,7 @@ let prune_candidates (cfg : config) (g : Primgraph.t) (candidates : Candidate.t 
         (fun (g1, i1) (g2, i2) -> if g1 <> g2 then compare g2 g1 else compare i1 i2)
         !multis
     in
-    let budget = Stdlib.max 0 (cfg.prune_candidates_to - List.length singles) in
+    let budget = Stdlib.max 0 (prune_candidates_to - List.length singles) in
     let kept = ref singles and left = ref budget in
     List.iter
       (fun (_g, i) ->
@@ -519,7 +484,7 @@ let tier_counter = function
   | Unfused -> m_tier_unfused
 
 (* Solve one segment: BLP + schedule with no-good cut loop, walking the
-   degradation ladder on failure unless [fail_fast]. *)
+   degradation ladder on failure. *)
 let solve_segment (cfg : config) ~(cache : Gpu.Profile_cache.t) ?(seg_index = 0)
     (seg : Partition.segment) : segment_result =
   Obs.Span.with_ ~name:"segment"
@@ -534,9 +499,7 @@ let solve_segment (cfg : config) ~(cache : Gpu.Profile_cache.t) ?(seg_index = 0)
   let note site fmt =
     Printf.ksprintf
       (fun detail ->
-        if cfg.fail_fast then
-          raise (Orchestration_failed { Error.segment = Some seg_index; site; detail })
-        else if !fallback_reason = None then
+        if !fallback_reason = None then
           fallback_reason := Some (Printf.sprintf "%s: %s" (Error.site_to_string site) detail))
       fmt
   in
@@ -570,7 +533,7 @@ let solve_segment (cfg : config) ~(cache : Gpu.Profile_cache.t) ?(seg_index = 0)
             Transform.Optimizer.spec = cfg.spec;
             precision = cfg.precision;
             alpha = 1.08;
-            budget = cfg.transform_budget;
+            budget = transform_budget;
             profiler = cfg.identifier.Kernel_identifier.profiler;
           }
         seg.Partition.local
@@ -584,7 +547,7 @@ let solve_segment (cfg : config) ~(cache : Gpu.Profile_cache.t) ?(seg_index = 0)
       if cfg.check_invariants then begin
         match enforce ~segment:seg_index ~what:"transformed segment" (Verify.graph_check t) with
         | () -> (t, false)
-        | exception Orchestration_failed e when not cfg.fail_fast ->
+        | exception Orchestration_failed e ->
           (* A transformation produced a graph the analyses reject — fall
              back to the untransformed segment rather than execute it. *)
           if !fallback_reason = None then fallback_reason := Some (Error.to_string e);
@@ -625,13 +588,8 @@ let solve_segment (cfg : config) ~(cache : Gpu.Profile_cache.t) ?(seg_index = 0)
       note Error.Enumerate "state enumeration exceeded %d states" n;
       ([||], Kernel_identifier.empty_stats)
   in
-  (* Under [fail_fast], no identified candidates for a non-trivial segment
-     is fatal — the ladder would otherwise synthesize the unfused floor. *)
-  if cfg.fail_fast && Array.length candidates = 0
-     && Primgraph.non_source_nodes transformed <> []
-  then orch_fail ~segment:seg_index Error.Profile "no candidate kernels for segment";
   (* Candidate-explosion guard (see [prune_candidates]). *)
-  let candidates, pruned_candidates = prune_candidates cfg transformed candidates in
+  let candidates, pruned_candidates = prune_candidates transformed candidates in
   if pruned_candidates > 0 then Obs.Metrics.add m_candidates_pruned pruned_candidates;
   (* Ladder floor material: every primitive gets a singleton candidate. *)
   let candidates, singleton = ensure_singletons cfg ~cache transformed candidates in
@@ -655,12 +613,11 @@ let solve_segment (cfg : config) ~(cache : Gpu.Profile_cache.t) ?(seg_index = 0)
           ~extra_cuts:cuts
       in
       match
-        Lp.Ilp.solve ~max_nodes:node_limit ~time_limit_s:cfg.ilp_time_limit_s
-          ~rel_gap:cfg.ilp_rel_gap
-          ~abs_gap:(cfg.ilp_abs_gap_launches *. cfg.spec.Gpu.Spec.launch_overhead_us)
+        Lp.Ilp.solve ~max_nodes:node_limit ~rel_gap:ilp_rel_gap
+          ~abs_gap:(ilp_abs_gap_launches *. cfg.spec.Gpu.Spec.launch_overhead_us)
           ~lazy_dependencies:true ~warm_start problem
       with
-      | None -> Stdlib.Error "BLP solver timed out without incumbent"
+      | None -> Stdlib.Error "BLP node budget exhausted without incumbent"
       | Some sol when sol.Lp.Ilp.status = Lp.Ilp.Infeasible -> Stdlib.Error "BLP infeasible"
       | Some sol -> begin
         let selected =
@@ -669,11 +626,7 @@ let solve_segment (cfg : config) ~(cache : Gpu.Profile_cache.t) ?(seg_index = 0)
         match Scheduler.schedule transformed candidates ~selected with
         | Ok order ->
           Stdlib.Ok
-            ( order,
-              sol.Lp.Ilp.objective,
-              List.length cuts,
-              sol.Lp.Ilp.time_limit_hit,
-              sol.Lp.Ilp.status = Lp.Ilp.Optimal )
+            (order, sol.Lp.Ilp.objective, List.length cuts, sol.Lp.Ilp.status = Lp.Ilp.Optimal)
         | Error stuck -> solve_with_cuts (stuck :: cuts) (attempts + 1)
       end
       | exception Faults.Injected { site; hit } ->
@@ -681,39 +634,30 @@ let solve_segment (cfg : config) ~(cache : Gpu.Profile_cache.t) ?(seg_index = 0)
           (Printf.sprintf "injected fault at %s (call %d)" (Faults.site_to_string site) hit)
     end
   in
-  let (selected, latency_us, cuts_added, tier, time_limit_hit), solve_us =
+  let (selected, latency_us, cuts_added, tier), solve_us =
     Obs.Clock.timed_us @@ fun () ->
     Obs.Span.with_ ~name:"solve" @@ fun () ->
-    if Primgraph.non_source_nodes transformed = [] then ([], 0.0, 0, Optimal, false)
+    if Primgraph.non_source_nodes transformed = [] then ([], 0.0, 0, Optimal)
     else if past_deadline then begin
       (* Ladder entry for an exceeded deadline: the unfused floor is the
          cheapest schedulable plan and costs no solver time at all. *)
       let order, obj = unfused_plan ~segment:seg_index transformed candidates singleton in
-      (order, obj, 0, Unfused, false)
+      (order, obj, 0, Unfused)
     end
     else begin
       match solve_with_cuts [] 0 with
-      | Ok (order, obj, cuts, time_hit, proven) ->
-        (order, obj, cuts, (if proven then Optimal else Incumbent), time_hit)
+      | Ok (order, obj, cuts, proven) -> (order, obj, cuts, if proven then Optimal else Incumbent)
       | Error reason ->
         note Error.Solve "%s" reason;
         (* Ladder: greedy fusion, then the unfused floor. *)
         (match greedy_plan transformed candidates singleton with
-        | Some (order, obj) -> (order, obj, 0, Greedy, false)
+        | Some (order, obj) -> (order, obj, 0, Greedy)
         | None ->
           let order, obj = unfused_plan ~segment:seg_index transformed candidates singleton in
-          (order, obj, 0, Unfused, false))
+          (order, obj, 0, Unfused))
     end
   in
-  let outcome =
-    {
-      tier;
-      retries = 0;
-      fallback_reason = !fallback_reason;
-      time_limit_hit;
-      transform_degraded;
-    }
-  in
+  let outcome = { tier; retries = 0; fallback_reason = !fallback_reason; transform_degraded } in
   {
     seg;
     seg_index;
@@ -831,31 +775,28 @@ let run_primgraph (cfg : config) (g : Primgraph.t) : result =
              (fun (i, s) outcome ->
                match outcome with
                | Stdlib.Ok r -> r
-               | Stdlib.Error (e, bt) ->
-                 if cfg.fail_fast then Printexc.raise_with_backtrace e bt
-                 else begin
-                   (* The worker domain died mid-segment (injected fault or
-                      real crash): retry the whole segment sequentially on
-                      the main domain before degrading further. A failure
-                      of the retry itself is genuinely fatal. *)
-                   let r = solve_segment cfg ~cache ~seg_index:i s in
-                   let reason =
-                     Printf.sprintf "worker: retried on main domain after %s"
-                       (Printexc.to_string e)
-                   in
-                   {
-                     r with
-                     outcome =
-                       {
-                         r.outcome with
-                         retries = r.outcome.retries + 1;
-                         fallback_reason =
-                           (match r.outcome.fallback_reason with
-                           | Some existing -> Some (reason ^ "; " ^ existing)
-                           | None -> Some reason);
-                       };
-                   }
-                 end)
+               | Stdlib.Error (e, _) ->
+                 (* The worker domain died mid-segment (injected fault or
+                    real crash): retry the whole segment sequentially on
+                    the main domain before degrading further. A failure
+                    of the retry itself is genuinely fatal. *)
+                 let r = solve_segment cfg ~cache ~seg_index:i s in
+                 let reason =
+                   Printf.sprintf "worker: retried on main domain after %s"
+                     (Printexc.to_string e)
+                 in
+                 {
+                   r with
+                   outcome =
+                     {
+                       r.outcome with
+                       retries = r.outcome.retries + 1;
+                       fallback_reason =
+                         (match r.outcome.fallback_reason with
+                         | Some existing -> Some (reason ^ "; " ^ existing)
+                         | None -> Some reason);
+                     };
+                 })
              indexed
     in
     let (graph, kernels), stitch_us =
@@ -933,8 +874,6 @@ let run_primgraph (cfg : config) (g : Primgraph.t) : result =
           0 results;
       tuning_time_s = Gpu.Profile_cache.tuning_time_s cache;
       degraded_segments;
-      time_limit_hits =
-        List.length (List.filter (fun r -> r.outcome.time_limit_hit) results);
       truncated_segments =
         List.filter_map
           (fun r ->
@@ -951,12 +890,8 @@ let run_primgraph (cfg : config) (g : Primgraph.t) : result =
         ];
     }
   in
-  let timed_body () =
-    let r, total_us = Obs.Clock.timed_us body in
-    { r with phase_us = r.phase_us @ [ ("total", total_us) ] }
-  in
-  if cfg.faults = [] then timed_body ()
-  else Faults.with_policy ~seed:cfg.fault_seed cfg.faults timed_body
+  let r, total_us = Obs.Clock.timed_us body in
+  { r with phase_us = r.phase_us @ [ ("total", total_us) ] }
 
 (** [run cfg g] — orchestrate an operator-level computation graph: apply
     operator fission, then {!run_primgraph}. *)

@@ -13,8 +13,9 @@
     {!tier-Incumbent} → {!tier-Greedy} → {!tier-Unfused} — so a profiler
     crash, solver blow-up or worker-domain death degrades that one
     segment instead of aborting the run. The unfused floor (one kernel
-    per primitive) is always constructible and always schedulable.
-    [fail_fast] restores the old raise-at-first-failure behaviour. *)
+    per primitive) is always constructible and always schedulable. Only
+    stitch and final-verification failures raise {!Orchestration_failed}:
+    there is no sound plan to degrade to at that point. *)
 
 open Ir
 
@@ -24,7 +25,6 @@ module Error : sig
   type site =
     | Transform  (** transformation search on a segment *)
     | Enumerate  (** execution-state enumeration / kernel identification *)
-    | Profile  (** candidate profiling *)
     | Solve  (** BLP solve or cut loop *)
     | Schedule  (** sequencing selected kernels *)
     | Worker  (** a worker domain died solving a segment *)
@@ -69,9 +69,6 @@ type outcome = {
   retries : int;  (** worker-domain failures retried on the main domain *)
   fallback_reason : string option;
       (** first failure that pushed the segment down the ladder *)
-  time_limit_hit : bool;
-      (** the BLP CPU-time safety net bound — the plan may not reproduce
-          across [jobs] values (see [ilp_time_limit_s]) *)
   transform_degraded : bool;
       (** transformation search failed; plain CSE (or the raw segment)
           was used instead *)
@@ -89,54 +86,28 @@ type deadline = { at_s : float; total_s : float }
 (** [deadline_in total_s] — a deadline [total_s] seconds from now. *)
 val deadline_in : float -> deadline
 
+(** Orchestration settings. Fixed, not configurable: the BLP optimality
+    gaps (0.2% relative, 0.4 kernel launches absolute), the
+    transformation-search budget (40 expansions per segment), and the
+    candidate-explosion guard — a segment identifying more than 768
+    candidates is deterministically pruned to 96 before the BLP, keeping
+    every full singleton (ladder floor and warm start), then
+    multi-primitive candidates ranked by latency gain over their members'
+    cheapest singletons (gain descending, candidate index ascending). A
+    pruned segment's BLP optimum is optimal {e over the pruned set}; its
+    tier is still reported as {!tier-Optimal}. *)
 type config = {
   spec : Gpu.Spec.t;  (** target GPU datasheet *)
   precision : Gpu.Precision.t;  (** FP32 on V100, TF32 on A100 (§6.1) *)
   identifier : Kernel_identifier.config;
   partition_max_prims : int;  (** segment size bound (default 12) *)
-  max_candidates : int;
-      (** candidate-explosion guard (default 768): a segment identifying
-          more candidates than this is deterministically pruned to
-          [prune_candidates_to] before the BLP. Parallel same-shape
-          branches (a transformer's q/k/v projections, say) can push the
-          convex-subgraph count past what branch-and-bound tolerates —
-          each node LP carries one column per candidate — while every
-          other segment of the model stays routine. The default sits
-          above the worst well-behaved segment in the zoo, so the guard
-          only fires on genuine explosions *)
-  prune_candidates_to : int;
-      (** surviving candidate count when the guard fires (default 96):
-          every full singleton (ladder floor and warm start) is kept,
-          then multi-primitive candidates ranked by latency gain over
-          their members' cheapest singletons (gain descending, candidate
-          index ascending — fully deterministic, so pruned plans
-          reproduce). The segment's BLP optimum is then optimal {e over
-          the pruned set}; its tier is still reported as
-          {!tier-Optimal}. The default is deliberately aggressive: on
-          the explosion-prone segments the guard exists for, larger
-          survivor sets mostly add symmetric redundant-output variants
-          that slow branch-and-bound and feed the no-good cut loop
-          unschedulable optima without improving the final plan *)
   use_transform : bool;  (** run the TASO-style optimizer per segment *)
-  transform_budget : int;  (** graph expansions per segment search *)
   ilp_node_limit : int;
       (** per-segment BLP budget as a branch-and-bound node count
-          (default 1200) — a deterministic measure of solver work, unlike
-          CPU time, so the same segment stops at the same incumbent for
-          every [jobs] value and on every run *)
-  ilp_time_limit_s : float;
-      (** safety net only (default 300 s of CPU time): caps one BLP solve
-          so a pathological segment cannot hang the pipeline. If it ever
-          binds, plans may stop being reproducible across [jobs] values —
-          CPU time advances faster when several domains run concurrently.
-          Binding is surfaced via [outcome.time_limit_hit] and counted in
-          [result.time_limit_hits] so the CLI can warn *)
-  ilp_rel_gap : float;
-      (** relative optimality tolerance; 0 proves optimality, small values
-          (default 0.002) cut solve time sharply *)
-  ilp_abs_gap_launches : float;
-      (** absolute tolerance in kernel-launch overheads: strategies within
-          a fraction of one launch are equivalent in practice *)
+          (default 1200), the solver's only budget — a deterministic
+          measure of solver work, unlike wall-clock time, so the same
+          segment stops at the same incumbent for every [jobs] value and
+          on every run *)
   allow_redundancy : bool;
       (** §4.2's relaxation: primitives may execute in several kernels.
           Disable for the ablation (prior-work-style disjoint partitions) *)
@@ -157,24 +128,8 @@ type config = {
           in segment order, the sharded profile cache resolves each
           distinct kernel exactly once, and the BLP budget
           ([ilp_node_limit]) counts branch-and-bound nodes rather than
-          CPU time, so a solver stops at the same incumbent no matter
-          how many domains share the machine. (Caveat: the
-          [ilp_time_limit_s] safety net, if it ever binds, reintroduces
-          timing sensitivity.) *)
-  fail_fast : bool;
-      (** raise {!Orchestration_failed} at the first per-segment failure
-          instead of walking the degradation ladder (the pre-ladder
-          behaviour). Off by default. Stitch and final-verification
-          failures always raise — there is no sound plan to degrade to
-          at that point *)
-  faults : (Faults.site * Faults.spec) list;
-      (** fault-injection policy installed (with [fault_seed]) for the
-          duration of the run via {!Faults.with_policy}; [[]] (default)
-          leaves whatever policy is already installed untouched *)
-  fault_seed : int;
-      (** seed for probabilistic fault rules (default 1). The same seed
-          and policy reproduce the same injections — and therefore the
-          same degraded plan — on every run *)
+          time, so a solver stops at the same incumbent no matter how
+          many domains share the machine *)
   deadline : deadline option;
       (** per-request wall-clock deadline ([None] = unconstrained, the
           default). Each segment samples the remaining fraction of the
@@ -216,8 +171,8 @@ type segment_result = {
           candidates so the unfused floor is always available *)
   id_stats : Kernel_identifier.stats;
   pruned_candidates : int;
-      (** candidates dropped by the [max_candidates] explosion guard
-          (0 = the guard did not fire on this segment) *)
+      (** candidates dropped by the candidate-explosion guard (see
+          {!type-config}; 0 = the guard did not fire on this segment) *)
   selected : int list;  (** scheduled order of candidate indices *)
   latency_us : float;  (** modelled latency of the selected strategy *)
   cuts_added : int;  (** no-good cuts needed before a schedulable optimum *)
@@ -239,9 +194,6 @@ type result = {
   tuning_time_s : float;  (** simulated profiling cost (Table 2) *)
   degraded_segments : int list;
       (** indices of segments that fell to [Greedy] or [Unfused] *)
-  time_limit_hits : int;
-      (** segments whose BLP CPU-time safety net bound — nonzero means
-          the plan may not reproduce across [jobs] values *)
   truncated_segments : int list;
       (** indices of segments whose state enumeration was truncated at
           [max_states]: their candidate sets are valid but incomplete *)
@@ -263,16 +215,15 @@ type result = {
 
 (** [solve_segment cfg ~cache ?seg_index seg] — transform, identify,
     profile and solve one partition segment, walking the degradation
-    ladder on failure (or raising under [fail_fast]). Exposed for
-    diagnostics and benches. *)
+    ladder on failure. Exposed for diagnostics and benches. *)
 val solve_segment :
   config -> cache:Gpu.Profile_cache.t -> ?seg_index:int -> Partition.segment -> segment_result
 
 (** [run_primgraph cfg g] — orchestrate a primitive graph. The returned
     plan executes against [result.graph] (not [g]: transformations may
-    have rewritten it) via {!Runtime.Executor.run}. Installs the
-    [cfg.faults] injection policy for the duration of the call when it is
-    non-empty. *)
+    have rewritten it) via {!Runtime.Executor.run}. Fault injection
+    follows whatever {!Faults} policy is installed process-wide (see
+    {!Faults.with_policy}). *)
 val run_primgraph : config -> Primgraph.t -> result
 
 (** [run cfg g] — apply operator fission to a computation graph, then

@@ -49,12 +49,7 @@ let pp_result ppf (r : Orchestrator.result) =
     Format.fprintf ppf
       "  TRUNCATED       : segment%s %s stopped state enumeration at the bound@."
       (if List.length r.Orchestrator.truncated_segments > 1 then "s" else "")
-      (String.concat ", " (List.map string_of_int r.Orchestrator.truncated_segments));
-  if r.Orchestrator.time_limit_hits > 0 then
-    Format.fprintf ppf
-      "  WARNING         : %d segment(s) hit the BLP CPU-time safety net — the plan may not \
-       reproduce across --jobs values@."
-      r.Orchestrator.time_limit_hits
+      (String.concat ", " (List.map string_of_int r.Orchestrator.truncated_segments))
 
 (** Per-segment outcome table: one line per segment with its ladder tier,
     retries, and the failure that pushed it down (if any). *)
@@ -68,7 +63,6 @@ let pp_segments ppf (r : Orchestrator.result) =
           [
             o.Orchestrator.fallback_reason;
             (if o.Orchestrator.transform_degraded then Some "transform degraded" else None);
-            (if o.Orchestrator.time_limit_hit then Some "time limit hit" else None);
             (if s.Orchestrator.id_stats.Kernel_identifier.states_truncated then
                Some "states truncated"
              else None);
@@ -106,7 +100,6 @@ let segment_to_json (s : Orchestrator.segment_result) : Obs.Jsonw.t =
       ("latency_us", Obs.Jsonw.Float s.Orchestrator.latency_us);
       ("cuts_added", Obs.Jsonw.Int s.Orchestrator.cuts_added);
       ("retries", Obs.Jsonw.Int o.Orchestrator.retries);
-      ("time_limit_hit", Obs.Jsonw.Bool o.Orchestrator.time_limit_hit);
       ("transform_degraded", Obs.Jsonw.Bool o.Orchestrator.transform_degraded);
       ( "fallback_reason",
         match o.Orchestrator.fallback_reason with
@@ -205,7 +198,6 @@ let to_json ?(meta : (string * Obs.Jsonw.t) list = [])
                 ("warnings", Obs.Jsonw.Int w);
                 ("infos", Obs.Jsonw.Int i);
               ] );
-        ("time_limit_hits", Obs.Jsonw.Int r.Orchestrator.time_limit_hits);
         ("phase_us", phase_obj r.Orchestrator.phase_us);
         ( "per_segment",
           Obs.Jsonw.List (List.map segment_to_json r.Orchestrator.segments) );

@@ -12,14 +12,13 @@ type problem = {
   rows : (float array * Simplex.relation * float) list;
 }
 
-type status = Optimal | TimeLimit | Infeasible
+type status = Optimal | NodeLimit | Infeasible
 
 type solution = {
   x : int array;
   objective : float;
   status : status;
   nodes_explored : int;
-  time_limit_hit : bool;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -116,14 +115,14 @@ let objective_of (p : problem) (x : int array) : float =
   Array.iteri (fun j c -> o := !o +. (c *. float_of_int x.(j))) p.minimize;
   !o
 
-(** [solve ?time_limit_s ?max_nodes ?rel_gap ?abs_gap ?lazy_dependencies
-    ?warm_start p] — minimization by branch-and-bound. [warm_start] seeds
+(** [solve ?max_nodes ?rel_gap ?abs_gap ?lazy_dependencies ?warm_start p]
+    — minimization by branch-and-bound. [warm_start] seeds
     the incumbent with a known feasible assignment (infeasible seeds are
     ignored). [rel_gap]/[abs_gap] prune nodes whose LP bound is within the
     given distance of the incumbent — 0 gives a proof of optimality, small
     positive values trade a bounded suboptimality for far fewer nodes.
-    Exact (up to the gaps) unless the node or time budget is hit, in which
-    case the best incumbent (if any) is returned with [TimeLimit] status.
+    Exact (up to the gaps) unless the node budget is hit, in which case
+    the best incumbent (if any) is returned with [NodeLimit] status.
 
     With [lazy_dependencies] the
     homogeneous covering rows ([>= 0], Korch's Eq. 4 dependency
@@ -136,9 +135,8 @@ let objective_of (p : problem) (x : int array) : float =
 let m_solves = Obs.Metrics.counter "ilp.solves"
 let m_nodes = Obs.Metrics.counter "ilp.nodes"
 let m_incumbents = Obs.Metrics.counter "ilp.incumbents"
-let m_time_limit_hits = Obs.Metrics.counter "ilp.time_limit_hits"
 
-let solve ?(time_limit_s = 60.0) ?(max_nodes = 200_000) ?(rel_gap = 0.0) ?(abs_gap = 0.0)
+let solve ?(max_nodes = 200_000) ?(rel_gap = 0.0) ?(abs_gap = 0.0)
     ?(lazy_dependencies = false) ?(warm_start : int array option) (p : problem) :
     solution option =
   Faults.check Faults.Ilp_solve;
@@ -151,10 +149,6 @@ let solve ?(time_limit_s = 60.0) ?(max_nodes = 200_000) ?(rel_gap = 0.0) ?(abs_g
       ]
   @@ fun () ->
   let n = Array.length p.minimize in
-  (* Monotonic wall clock, never [Sys.time]: CPU time counts every
-     domain's work, so under the pool it expired the budget jobs× early
-     (the PR 2 bug this safety net's docs recount). *)
-  let start_us = Obs.Clock.now_us () in
   let incumbent = ref None in
   let incumbent_obj = ref Float.infinity in
   (match warm_start with
@@ -224,21 +218,12 @@ let solve ?(time_limit_s = 60.0) ?(max_nodes = 200_000) ?(rel_gap = 0.0) ?(abs_g
     go 0
   in
   let nodes = ref 0 in
-  let timed_out = ref false in
-  (* Distinguish the two budgets: the node limit is the deterministic one,
-     the CPU-time limit a safety net whose binding callers want to know
-     about (it reintroduces timing sensitivity). *)
-  let time_hit = ref false in
+  let budget_hit = ref false in
   (* DFS stack of fixing vectors. *)
   let stack = Stack.create () in
   Stack.push (Array.make n (-1)) stack;
-  while (not (Stack.is_empty stack)) && not !timed_out do
-    if Obs.Clock.now_us () -. start_us > time_limit_s *. 1e6 then begin
-      timed_out := true;
-      time_hit := true;
-      Obs.Metrics.incr m_time_limit_hits
-    end
-    else if !nodes > max_nodes then timed_out := true
+  while (not (Stack.is_empty stack)) && not !budget_hit do
+    if !nodes > max_nodes then budget_hit := true
     else begin
       let fixed = Stack.pop stack in
       incr nodes;
@@ -325,17 +310,13 @@ let solve ?(time_limit_s = 60.0) ?(max_nodes = 200_000) ?(rel_gap = 0.0) ?(abs_g
   Obs.Metrics.add m_nodes !nodes;
   match !incumbent with
   | None ->
-    if !timed_out then None
-    else
-      Some
-        { x = [||]; objective = 0.0; status = Infeasible; nodes_explored = !nodes;
-          time_limit_hit = !time_hit }
+    if !budget_hit then None
+    else Some { x = [||]; objective = 0.0; status = Infeasible; nodes_explored = !nodes }
   | Some x ->
     Some
       {
         x;
         objective = !incumbent_obj;
-        status = (if !timed_out then TimeLimit else Optimal);
+        status = (if !budget_hit then NodeLimit else Optimal);
         nodes_explored = !nodes;
-        time_limit_hit = !time_hit;
       }

@@ -23,7 +23,9 @@ type problem = {
 
 type status =
   | Optimal  (** tree closed: solution proven optimal up to the gaps *)
-  | TimeLimit  (** budget hit: best incumbent returned *)
+  | NodeLimit
+      (** the node budget ([max_nodes]), the solver's only budget, ended
+          the search: best incumbent returned *)
   | Infeasible  (** no binary assignment satisfies the rows *)
 
 type solution = {
@@ -31,11 +33,6 @@ type solution = {
   objective : float;
   status : status;
   nodes_explored : int;
-  time_limit_hit : bool;
-      (** the wall-clock safety net (not the node budget) ended the
-          search. Wall time is machine-load-dependent, so a binding time
-          limit means the result may not reproduce run to run — callers
-          should surface it *)
 }
 
 (** [is_feasible_binary p x] checks every row of [p] against the 0/1
@@ -45,17 +42,13 @@ val is_feasible_binary : problem -> int array -> bool
 (** [objective_of p x] is [p.minimize . x]. *)
 val objective_of : problem -> int array -> float
 
-(** [solve ?time_limit_s ?max_nodes ?rel_gap ?abs_gap ?lazy_dependencies
-    ?warm_start p] minimizes over binary assignments.
+(** [solve ?max_nodes ?rel_gap ?abs_gap ?lazy_dependencies ?warm_start p]
+    minimizes over binary assignments.
 
-    @param time_limit_s wall-clock budget (default 60 s), measured on
-           {!Obs.Clock} ([CLOCK_MONOTONIC]) — {e never} [Sys.time], whose
-           process-CPU semantics once shrank this budget jobs× under the
-           worker pool. Still a safety net: callers wanting run-to-run
-           reproducibility should bound work with [max_nodes]
-    @param max_nodes branch-and-bound node budget (default 200k) — a
-           deterministic work measure: the same problem with the same
-           budget always stops at the same incumbent
+    @param max_nodes branch-and-bound node budget (default 200k), the
+           single budget — a deterministic work measure: the same problem
+           with the same budget always stops at the same incumbent, on
+           every run and under any machine load
     @param rel_gap relative optimality tolerance (default 0: exact)
     @param abs_gap absolute optimality tolerance (default 0: exact)
     @param lazy_dependencies treat homogeneous [>= 0] rows as lazy cuts
@@ -68,7 +61,6 @@ val objective_of : problem -> int array -> float
     Carries the {!Faults.site-Ilp_solve} fault-injection site: an
     installed policy can make this call raise {!Faults.Injected}. *)
 val solve :
-  ?time_limit_s:float ->
   ?max_nodes:int ->
   ?rel_gap:float ->
   ?abs_gap:float ->

@@ -47,8 +47,8 @@ let inputs_of (g : Opgraph.t) =
 let run_case ~label ?(jobs = 1) ?(post = fun (_ : Korch.Orchestrator.result) -> None)
     ~fault_seed faults =
   let g = graph () in
-  let cfg = { Korch.Orchestrator.default_config with jobs; faults; fault_seed } in
-  match Korch.Orchestrator.run cfg g with
+  let cfg = { Korch.Orchestrator.default_config with jobs } in
+  match Faults.with_policy ~seed:fault_seed faults (fun () -> Korch.Orchestrator.run cfg g) with
   | exception exn -> fail_case label "orchestration died: %s" (Printexc.to_string exn)
   | r ->
     let report = Verify.plan_check r.Korch.Orchestrator.graph r.Korch.Orchestrator.plan in

@@ -393,13 +393,12 @@ let test_zoo_clean_pass () =
 
 let test_analysis_fault_degrades () =
   let g = build_zoo "candy" in
-  let cfg =
-    { Korch.Orchestrator.default_config with
-      Korch.Orchestrator.faults = [ (Faults.Analysis, Faults.Always) ];
-      fault_seed = 3 }
-  in
   (* The injected analyzer crash must not kill the orchestration... *)
-  let r = Korch.Orchestrator.run cfg g in
+  let r =
+    Faults.with_policy ~seed:3
+      [ (Faults.Analysis, Faults.Always) ]
+      (fun () -> Korch.Orchestrator.run Korch.Orchestrator.default_config g)
+  in
   (* ...and the skip is recorded in the result. *)
   match r.Korch.Orchestrator.analysis with
   | Korch.Orchestrator.Analysis_skipped reason ->

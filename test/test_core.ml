@@ -161,7 +161,10 @@ let test_scheduler_orders_dependencies () =
 
 let test_scheduler_detects_deadlock () =
   (* Two kernels publishing each other's inputs: a -> b and c -> d with
-     K1 = {a, d} publishing a, K2 = {b, c} publishing c. *)
+     K1 = {a, d} publishing a, K2 = {b, c} publishing c. With 1.0 us
+     singletons beside them, the BLP optimum is exactly that deadlocked
+     pair, so the orchestrator's no-good cut loop is the only way to a
+     schedulable selection. *)
   let b = Primgraph.B.create () in
   let x = Primgraph.B.input b "x" [| 2 |] in
   let a = Primgraph.B.add b (Primitive.Unary Primitive.Relu) [ x ] in
@@ -183,9 +186,32 @@ let test_scheduler_detects_deadlock () =
         ext_inputs = Graph.external_inputs g (Bitset.of_list n [ b2; c ]);
         latency_us = 1.0; backend = Gpu.Cost_model.Tvm; workspace_bytes = 0 }
   in
-  match Korch.Scheduler.schedule g [| k1; k2 |] ~selected:[ 0; 1 ] with
+  let singleton id =
+    let members = Bitset.of_list n [ id ] in
+    Korch.Candidate.
+      { members; outputs = [ id ]; ext_inputs = Graph.external_inputs g members;
+        latency_us = 1.0; backend = Gpu.Cost_model.Tvm; workspace_bytes = 0 }
+  in
+  let cands = Array.append [| k1; k2 |] (Array.of_list (List.map singleton [ a; b2; c; d ])) in
+  let solve cuts =
+    match Lp.Ilp.solve (Korch.Blp_formulation.build g cands ~extra_cuts:cuts) with
+    | Some s when s.Lp.Ilp.status = Lp.Ilp.Optimal ->
+      (List.filter (fun i -> s.Lp.Ilp.x.(i) = 1) (List.init (Array.length cands) Fun.id),
+       s.Lp.Ilp.objective)
+    | _ -> Alcotest.fail "BLP not solved to optimality"
+  in
+  let selected, obj = solve [] in
+  Alcotest.(check (list int)) "optimum is the deadlocked pair" [ 0; 1 ] selected;
+  Alcotest.(check (float 1e-9)) "pair costs 2" 2.0 obj;
+  match Korch.Scheduler.schedule g cands ~selected with
   | Ok _ -> Alcotest.fail "deadlocked pair scheduled"
-  | Error stuck -> Alcotest.(check (list int)) "both stuck" [ 0; 1 ] (List.sort compare stuck)
+  | Error stuck -> (
+    Alcotest.(check (list int)) "both stuck" [ 0; 1 ] (List.sort compare stuck);
+    let selected, obj = solve [ stuck ] in
+    Alcotest.(check (float 1e-9)) "cut optimum costs 3" 3.0 obj;
+    match Korch.Scheduler.schedule g cands ~selected with
+    | Ok _ -> ()
+    | Error _ -> Alcotest.fail "selection after the no-good cut still deadlocks")
 
 (* ---------------- partition + stitch ---------------- *)
 

@@ -18,10 +18,19 @@ let inputs_of (g : Opgraph.t) seed =
          | Optype.Input name -> Some (name, Nd.randn (Rng.create seed) nd.Graph.shape)
          | _ -> None)
 
+(* Orchestration is deterministic, so the equivalence, baseline and stats
+   groups share one run per model instead of repeating it. *)
+let runs : (string, Opgraph.t * Korch.Orchestrator.result) Hashtbl.t = Hashtbl.create 8
+
 let run_model (e : Models.Registry.entry) =
-  let g = Fission.Canonicalize.fold_batch_norms (e.Models.Registry.build_small ()) in
-  let r = Korch.Orchestrator.run cfg g in
-  (g, r)
+  let name = e.Models.Registry.name in
+  match Hashtbl.find_opt runs name with
+  | Some run -> run
+  | None ->
+    let g = Fission.Canonicalize.fold_batch_norms (e.Models.Registry.build_small ()) in
+    let run = (g, Korch.Orchestrator.run cfg g) in
+    Hashtbl.replace runs name run;
+    run
 
 let test_model_equivalence (e : Models.Registry.entry) () =
   let g, r = run_model e in

@@ -163,7 +163,7 @@ let random_instance =
 let prop_ilp_matches_exhaustive =
   QCheck2.Test.make ~name:"branch-and-bound matches exhaustive" ~count:150 random_instance
     (fun p ->
-      let bb = Lp.Ilp.solve ~time_limit_s:10.0 p in
+      let bb = Lp.Ilp.solve p in
       let ex = Lp.Exhaustive.solve p in
       match (bb, ex) with
       | Some s, Some (_, obj) when s.Lp.Ilp.status = Lp.Ilp.Optimal ->
@@ -211,7 +211,7 @@ let near_degenerate_instance =
 let prop_near_degenerate_matches_exhaustive =
   QCheck2.Test.make ~name:"near-degenerate pivots match exhaustive" ~count:150
     near_degenerate_instance (fun p ->
-      match (Lp.Ilp.solve ~time_limit_s:10.0 p, Lp.Exhaustive.solve p) with
+      match (Lp.Ilp.solve p, Lp.Exhaustive.solve p) with
       | Some s, Some (_, obj) when s.Lp.Ilp.status = Lp.Ilp.Optimal ->
         Float.abs (s.Lp.Ilp.objective -. obj) <= 1e-6
       | Some s, None -> s.Lp.Ilp.status = Lp.Ilp.Infeasible

@@ -153,8 +153,8 @@ let build_model (e : Models.Registry.entry) =
 
 let orchestrate ?(faults = []) (e : Models.Registry.entry) =
   let g = build_model e in
-  let cfg = { Korch.Orchestrator.default_config with faults } in
-  (g, Korch.Orchestrator.run cfg g)
+  let run () = Korch.Orchestrator.run Korch.Orchestrator.default_config g in
+  (g, Faults.with_policy faults run)
 
 let model_cases = [ Models.Registry.candy; Models.Registry.yolox ]
 

@@ -67,7 +67,7 @@ let abs_gap = 0.05
 let prop_ilp_within_gaps =
   QCheck2.Test.make ~name:"Ilp.solve is feasible and within the configured gaps" ~count:200
     ~print:print_blp random_blp (fun p ->
-      let bb = Lp.Ilp.solve ~time_limit_s:30.0 ~rel_gap ~abs_gap p in
+      let bb = Lp.Ilp.solve ~rel_gap ~abs_gap p in
       let ex = Lp.Exhaustive.solve p in
       match (bb, ex) with
       | Some s, Some (_, opt) when s.Lp.Ilp.status <> Lp.Ilp.Infeasible ->
@@ -88,12 +88,12 @@ let prop_ilp_lazy_warm_exact =
     ~count:200 ~print:print_blp random_blp (fun p ->
       let ex = Lp.Exhaustive.solve p in
       let warm_start = Option.map fst ex in
-      let bb = Lp.Ilp.solve ~time_limit_s:30.0 ~lazy_dependencies:true ?warm_start p in
+      let bb = Lp.Ilp.solve ~lazy_dependencies:true ?warm_start p in
       match (bb, ex) with
       | Some s, Some (_, opt) when s.Lp.Ilp.status = Lp.Ilp.Optimal ->
         Lp.Ilp.is_feasible_binary p s.Lp.Ilp.x
         && Float.abs (s.Lp.Ilp.objective -. opt) <= 1e-6
-      | Some s, Some _ -> s.Lp.Ilp.status = Lp.Ilp.TimeLimit (* budget, not a wrong answer *)
+      | Some s, Some _ -> s.Lp.Ilp.status = Lp.Ilp.NodeLimit (* budget, not a wrong answer *)
       | Some s, None -> s.Lp.Ilp.status = Lp.Ilp.Infeasible
       | None, _ -> false)
 
