@@ -15,8 +15,8 @@ let strategy_a ~spec ~precision (g : Opgraph.t) : float =
   let members =
     Bitset.of_list (Graph.length pg) (Primgraph.non_source_nodes pg)
   in
-  Gpu.Cost_model.latency_us Gpu.Cost_model.default_config ~spec ~precision
-    ~backend:Gpu.Cost_model.Tvm pg members ~outputs:pg.Graph.outputs
+  Gpu.Cost_model.latency_us ~spec ~precision ~backend:Gpu.Cost_model.Tvm pg members
+    ~outputs:pg.Graph.outputs
 
 let run () =
   Bench_common.section "Figure 13: greedy fusion vs Korch on a Segformer subgraph (V100)";
@@ -31,8 +31,7 @@ let run () =
       Korch.Orchestrator.identifier =
         { base.Korch.Orchestrator.identifier with
           Korch.Kernel_identifier.max_kernel_prims = 20;
-          profiler =
-            { Gpu.Profiler.default_config with Gpu.Profiler.max_tvm_prims = 20 } } }
+          profiler = { Gpu.Profiler.max_tvm_prims = 20 } } }
   in
   List.iter
     (fun batch ->

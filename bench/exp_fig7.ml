@@ -134,8 +134,8 @@ let greedy_prim_plan ~spec ~precision (g : Primgraph.t) : Runtime.Plan.t =
             | Some r ->
               (r.Gpu.Profiler.latency_us, Gpu.Cost_model.backend_to_string r.Gpu.Profiler.backend)
             | None ->
-              ( Gpu.Cost_model.latency_us cfg.Gpu.Profiler.cost ~spec ~precision
-                  ~backend:Gpu.Cost_model.OpaqueExec g mset ~outputs,
+              ( Gpu.Cost_model.latency_us ~spec ~precision ~backend:Gpu.Cost_model.OpaqueExec g
+                  mset ~outputs,
                 "framework" )
           in
           kernels := Runtime.Plan.{ prims = group; outputs; latency_us; backend } :: !kernels

@@ -2,15 +2,15 @@
 
    Orchestrates every zoo model at test scale, executes the stitched plan
    on both executor backends, and reports measured wall-clocks side by
-   side. Three properties are checked while measuring:
+   side. Two properties are checked while measuring:
 
    - outputs are bit-identical between the backends (the differential
      gate that lets the native numbers be trusted at all);
-   - every kernel actually ran natively (no silent fallbacks);
-   - the measured per-kernel timings land in the profile database
-     ({!Gpu.Profile_cache.measured_entries}) keyed by the same canonical
-     signatures the cost model profiles under — the first real
-     calibration data against the modelled roofline.
+   - every kernel actually ran natively (no silent fallbacks).
+
+   Per-kernel measured wall-clocks stay in the run's
+   [Runtime.Backend.exec_stats] ([kernel_times_us]), next to each plan
+   kernel's modelled [latency_us].
 
    Skipped entirely (with a note) when no C compiler is on PATH. *)
 
@@ -63,16 +63,9 @@ let run () =
           failwith (Printf.sprintf "exp_native: %s outputs differ between backends" e.Models.Registry.name);
         if stats.Runtime.Backend.fallbacks <> [] then
           failwith (Printf.sprintf "exp_native: %s had native fallbacks" e.Models.Registry.name);
-        let recorded =
-          Korch.Calibrate.record ~spec:Gpu.Spec.v100 ~precision:Gpu.Precision.FP32
-            r.Korch.Orchestrator.graph r.Korch.Orchestrator.plan stats
-        in
-        Bench_common.row "  %-12s %10.2f ms %10.2f ms %7.1fx  %d native, %d timings\n"
+        Bench_common.row "  %-12s %10.2f ms %10.2f ms %7.1fx  %d native\n"
           e.Models.Registry.name interp_ms native_ms
           (interp_ms /. Float.max native_ms 1e-9)
-          stats.Runtime.Backend.native_kernels recorded)
-      Models.Registry.all;
-    let entries = Gpu.Profile_cache.measured_entries () in
-    Printf.printf "  profile cache now holds measured timings for %d distinct kernels\n"
-      (List.length entries)
+          stats.Runtime.Backend.native_kernels)
+      Models.Registry.all
   end

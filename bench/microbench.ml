@@ -47,7 +47,7 @@ let test_blp =
     (Staged.stage (fun () ->
          let pg, cands = Lazy.force prepared_candidates in
          let p = Korch.Blp_formulation.build pg cands ~extra_cuts:[] in
-         ignore (Lp.Ilp.solve ~rel_gap:0.002 ~abs_gap:2.0 ~lazy_dependencies:true p)))
+         ignore (Lp.Ilp.solve ~rel_gap:0.002 ~abs_gap:2.0 p)))
 
 let test_simplex =
   let p =

@@ -175,6 +175,24 @@ let build_graph entry ~small ~batch =
   in
   Fission.Canonicalize.fold_batch_norms g
 
+(* The graph named by exactly one of [-m MODEL] or a FILE argument, with
+   a display name: the model name, or the file's basename. A FILE that
+   does not parse is reported once and exits 1. *)
+let load_graph ~cmd ~small ~batch model file =
+  match (model, file) with
+  | Some m, None -> (build_graph (find_model m) ~small ~batch, m)
+  | None, Some f -> (
+    let doc = In_channel.with_open_bin f In_channel.input_all in
+    match Onnx.Deserialize.opgraph_of_string doc with
+    | g -> (g, Filename.basename f)
+    | exception e ->
+      Printf.eprintf "%s: %s does not parse as a korch-onnx-json graph: %s\n" cmd f
+        (match e with Onnx.Deserialize.Format_error m -> m | e -> Printexc.to_string e);
+      exit 1)
+  | _ ->
+    Printf.eprintf "%s: specify exactly one of -m MODEL or a FILE argument\n" cmd;
+    exit 2
+
 let config ~spec ~precision ~window ~jobs =
   { Korch.Orchestrator.default_config with
     Korch.Orchestrator.spec; precision; partition_max_prims = window; jobs }
@@ -320,25 +338,7 @@ let print_report ~verbose title report =
   List.iter (fun d -> Format.printf "  %a@." Verify.Diagnostics.pp_diag d) shown
 
 let check_action model file gpu precision batch small window jobs rules lint_seed verbose =
-  let g =
-    match (model, file) with
-    | Some m, None -> build_graph (find_model m) ~small ~batch
-    | None, Some f -> begin
-      let ic = open_in f in
-      let len = in_channel_length ic in
-      let doc = really_input_string ic len in
-      close_in ic;
-      match Onnx.Deserialize.opgraph_of_string doc with
-      | g -> g
-      | exception e ->
-        Printf.printf "%s does not parse as a korch-onnx-json graph: %s\ncheck: FAILED\n" f
-          (Printexc.to_string e);
-        exit 1
-    end
-    | _ ->
-      prerr_endline "check: specify exactly one of -m MODEL or a FILE argument";
-      exit 2
-  in
+  let g, _ = load_graph ~cmd:"check" ~small ~batch model file in
   let failed = ref false in
   (* Stop at the first stage with errors: downstream stages run on its
      output and would only cascade. *)
@@ -404,24 +404,7 @@ let check_cmd =
 
 let analyze_action model file gpu precision batch small window jobs with_plan json output
     verbose =
-  let g, source =
-    match (model, file) with
-    | Some m, None -> (build_graph (find_model m) ~small ~batch, m)
-    | None, Some f -> begin
-      let ic = open_in f in
-      let len = in_channel_length ic in
-      let doc = really_input_string ic len in
-      close_in ic;
-      match Onnx.Deserialize.opgraph_of_string doc with
-      | g -> (g, Filename.basename f)
-      | exception Onnx.Deserialize.Format_error m ->
-        Printf.eprintf "%s: %s\n" f m;
-        exit 1
-    end
-    | _ ->
-      prerr_endline "analyze: specify exactly one of -m MODEL or a FILE argument";
-      exit 2
-  in
+  let g, source = load_graph ~cmd:"analyze" ~small ~batch model file in
   let pg, _ = Fission.Engine.run g in
   let bytes_per_element = Gpu.Precision.bytes_per_element precision in
   let report = Analysis.graph_report ~bytes_per_element pg in
@@ -517,24 +500,7 @@ let run_action file model gpu precision batch small window jobs verbose inject f
     trace assert_det mem_report backend =
   install_faults inject fault_seed;
   let backend = match backend with Some b -> b | None -> Runtime.Backend.default () in
-  let g, source =
-    match (model, file) with
-    | Some m, None -> (build_graph (find_model m) ~small ~batch, m)
-    | None, Some f -> begin
-      let ic = open_in f in
-      let len = in_channel_length ic in
-      let doc = really_input_string ic len in
-      close_in ic;
-      match Onnx.Deserialize.opgraph_of_string doc with
-      | g -> (g, Filename.basename f)
-      | exception Onnx.Deserialize.Format_error m ->
-        Printf.eprintf "%s: %s\n" f m;
-        exit 1
-    end
-    | _ ->
-      prerr_endline "run: specify exactly one of -m MODEL or a FILE argument";
-      exit 2
-  in
+  let g, source = load_graph ~cmd:"run" ~small ~batch model file in
   let cfg = config ~spec:gpu ~precision ~window ~jobs in
   let r = with_trace trace (fun () -> Korch.Orchestrator.run cfg g) in
   (* [--assert-deterministic]: re-orchestrate at a different worker count
@@ -568,12 +534,6 @@ let run_action file model gpu precision batch small window jobs verbose inject f
   in
   let diff =
     List.fold_left2 (fun a e g -> Float.max a (Tensor.Nd.max_abs_diff e g)) 0.0 expected got
-  in
-  (* Fold measured native-kernel wall-clocks into the profile database so
-     the cost model accumulates calibration data. *)
-  let recorded =
-    Korch.Calibrate.record ~spec:gpu ~precision r.Korch.Orchestrator.graph
-      r.Korch.Orchestrator.plan exec_stats
   in
   (* [--mem-report]: re-execute with the memory planner's buffer-reuse
      mode, require bit-identical outputs, and print the planner + arena
@@ -625,10 +585,8 @@ let run_action file model gpu precision batch small window jobs verbose inject f
     (match backend with
     | Runtime.Backend.Interp -> ()
     | Runtime.Backend.Native ->
-      Printf.printf "backend native: %d kernel(s) compiled+verified, %d on the interpreter"
+      Printf.printf "backend native: %d kernel(s) compiled+verified, %d on the interpreter\n"
         exec_stats.Runtime.Backend.native_kernels exec_stats.Runtime.Backend.interp_kernels;
-      if recorded > 0 then Printf.printf "; %d measured timing(s) recorded" recorded;
-      print_newline ();
       List.iter
         (fun (ki, reason) -> Printf.printf "  kernel %d fell back: %s\n" ki reason)
         (List.sort compare exec_stats.Runtime.Backend.fallbacks);

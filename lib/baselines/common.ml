@@ -7,7 +7,7 @@
     primitives of operators visible outside the group. When the candidate
     shape falls outside the generated-kernel envelope (e.g. a monolithic
     InstanceNorm), the framework is assumed to dispatch a handwritten
-    library kernel (generic, unspecialized quality with full
+    library kernel (generic, untuned quality with full
     category-mixing penalties) — it is never rejected, because frameworks
     always have *some* kernel. *)
 
@@ -90,9 +90,8 @@ let rec cost_group (env : env) (ops : int list) : Runtime.Plan.kernel =
          monolithic InstanceNorm): the framework dispatches a handwritten
          library kernel — never rejected, but it pays the full
          category-mixing cost. *)
-      ( Gpu.Cost_model.latency_us env.profiler.Gpu.Profiler.cost ~spec:env.spec
-          ~precision:env.precision ~backend:Gpu.Cost_model.OpaqueExec env.primgraph members
-          ~outputs,
+      ( Gpu.Cost_model.latency_us ~spec:env.spec ~precision:env.precision
+          ~backend:Gpu.Cost_model.OpaqueExec env.primgraph members ~outputs,
         "framework" )
     | None ->
       (* Unsupported multi-operator fusion pattern: the framework falls

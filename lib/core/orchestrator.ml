@@ -92,13 +92,6 @@ type outcome = {
           was used instead *)
 }
 
-let ok_outcome = {
-  tier = Optimal;
-  retries = 0;
-  fallback_reason = None;
-  transform_degraded = false;
-}
-
 (** A per-request deadline, propagated from the serving layer. [at_s] is
     an absolute {!Obs.Clock.now_s} instant; [total_s] the full budget the
     request started with, so pressure = remaining / total is well defined
@@ -277,9 +270,8 @@ let ensure_singletons (cfg : config) ~(cache : Gpu.Profile_cache.t) (g : Primgra
         let members = Bitset.add (Bitset.empty n) id in
         let outputs = [ id ] in
         let fallback_price () =
-          ( Gpu.Cost_model.latency_us cfg.identifier.Kernel_identifier.profiler.Gpu.Profiler.cost
-              ~spec:cfg.spec ~precision:cfg.precision ~backend:Gpu.Cost_model.OpaqueExec g
-              members ~outputs,
+          ( Gpu.Cost_model.latency_us ~spec:cfg.spec ~precision:cfg.precision
+              ~backend:Gpu.Cost_model.OpaqueExec g members ~outputs,
             Gpu.Cost_model.OpaqueExec )
         in
         let latency_us, backend =
@@ -614,8 +606,8 @@ let solve_segment (cfg : config) ~(cache : Gpu.Profile_cache.t) ?(seg_index = 0)
       in
       match
         Lp.Ilp.solve ~max_nodes:node_limit ~rel_gap:ilp_rel_gap
-          ~abs_gap:(ilp_abs_gap_launches *. cfg.spec.Gpu.Spec.launch_overhead_us)
-          ~lazy_dependencies:true ~warm_start problem
+          ~abs_gap:(ilp_abs_gap_launches *. cfg.spec.Gpu.Spec.launch_overhead_us) ~warm_start
+          problem
       with
       | None -> Stdlib.Error "BLP node budget exhausted without incumbent"
       | Some sol when sol.Lp.Ilp.status = Lp.Ilp.Infeasible -> Stdlib.Error "BLP infeasible"

@@ -74,10 +74,6 @@ type outcome = {
           was used instead *)
 }
 
-(** The outcome of an untroubled segment: [Optimal], no retries, no
-    fallback. Convenient for tests. *)
-val ok_outcome : outcome
-
 (** A per-request wall-clock deadline, propagated from the serving layer
     into orchestration. [at_s] is an absolute {!Obs.Clock.now_s} instant;
     [total_s] is the full budget the request started with. *)
@@ -195,8 +191,9 @@ type result = {
   degraded_segments : int list;
       (** indices of segments that fell to [Greedy] or [Unfused] *)
   truncated_segments : int list;
-      (** indices of segments whose state enumeration was truncated at
-          [max_states]: their candidate sets are valid but incomplete *)
+      (** indices of segments whose state enumeration was truncated by
+          the identifier's state guard: their candidate sets are valid
+          but incomplete *)
   memory : Runtime.Memplan.stats;
       (** static memory plan of the stitched plan: peak arena bytes,
           no-reuse bytes, slot count and reuse ratio, scaled by the

@@ -13,14 +13,14 @@
     fits.
 
     Ranges partition [[lo, hi]]. Each range materializes the stitched
-    graph and plan at its {e anchor} (its largest probe): serving pads a
-    request batch up to a probe ({!execution_probe}), so the anchor plan
-    can execute any batch the range's probes cover. Refinement only ever
-    {e extends} a range above its anchor (both anchors are known-optimal
-    at their own batches because orchestration solved them directly), so
-    a batch in the extension pads up into the next range's first probe —
-    the table records that the extended range's plan would be cheaper at
-    the exact batch, which is evidence, not an executable.
+    graph and plan at its {e anchor} (its largest probe); padded up to
+    the anchor, that plan executes any batch the range's probes cover.
+    Refinement only ever {e extends} a range above its anchor (both
+    anchors are known-optimal at their own batches because orchestration
+    solved them directly), so a batch in the extension pads up into the
+    next range's first probe — the table records that the extended
+    range's plan would be cheaper at the exact batch, which is evidence,
+    not an executable.
 
     Correctness never rests on the symbolic layer: every range's plan is
     the verbatim output of a fixed-batch [Orchestrator.run] at the
@@ -126,9 +126,8 @@ let node_shapes (g : Ir.Primgraph.t) : Tensor.Shape.t array =
 (** Re-price every kernel of [plan] on [g] with the cost model —
     [None] when any kernel's backend is not a cost-model backend (the
     unfused floor's pseudo-backend, or a forward-incompatible string). *)
-let reprice_plan (cost : Gpu.Cost_model.config) ~(spec : Gpu.Spec.t)
-    ~(precision : Gpu.Precision.t) (g : Ir.Primgraph.t) (plan : Runtime.Plan.t) :
-    float option =
+let reprice_plan ~(spec : Gpu.Spec.t) ~(precision : Gpu.Precision.t) (g : Ir.Primgraph.t)
+    (plan : Runtime.Plan.t) : float option =
   let n = Ir.Graph.length g in
   let rec go acc = function
     | [] -> Some acc
@@ -138,7 +137,7 @@ let reprice_plan (cost : Gpu.Cost_model.config) ~(spec : Gpu.Spec.t)
       | Some backend ->
         let members = Ir.Bitset.of_list n k.Runtime.Plan.prims in
         let us =
-          Gpu.Cost_model.latency_us cost ~spec ~precision ~backend g members
+          Gpu.Cost_model.latency_us ~spec ~precision ~backend g members
             ~outputs:k.Runtime.Plan.outputs
         in
         go (acc +. us) rest)
@@ -156,8 +155,8 @@ type probe_solution = {
     fit evaluated at [b] into the anchor graph. [None] when the run has
     fewer than two probes (nothing to fit), the fit is non-affine, or a
     kernel backend cannot be repriced. *)
-let run_cost_at (cost : Gpu.Cost_model.config) ~(spec : Gpu.Spec.t)
-    ~(precision : Gpu.Precision.t) (run : probe_solution list) (b : int) : float option =
+let run_cost_at ~(spec : Gpu.Spec.t) ~(precision : Gpu.Precision.t)
+    (run : probe_solution list) (b : int) : float option =
   match run with
   | [] | [ _ ] -> None
   | _ ->
@@ -170,7 +169,7 @@ let run_cost_at (cost : Gpu.Cost_model.config) ~(spec : Gpu.Spec.t)
     | Error _ -> None
     | Ok fit ->
       let g = Gpu.Cost_model.substitute_shapes last.ps_graph (Ir.Batch_sym.shapes_at fit b) in
-      reprice_plan cost ~spec ~precision g last.ps_plan)
+      reprice_plan ~spec ~precision g last.ps_plan)
 
 (** Crossover batch between adjacent runs [a] (cheaper at its anchor) and
     [b] (cheaper at its first probe): the last batch in
@@ -179,15 +178,14 @@ let run_cost_at (cost : Gpu.Cost_model.config) ~(spec : Gpu.Spec.t)
     anchor boundary) whenever either run cannot be repriced or the
     repricing disagrees with orchestration at the endpoints — the
     symbolic layer refines, it never overrules. *)
-let refine_crossover (cost : Gpu.Cost_model.config) ~(spec : Gpu.Spec.t)
-    ~(precision : Gpu.Precision.t) (a : probe_solution list) (b : probe_solution list) :
-    int option =
+let refine_crossover ~(spec : Gpu.Spec.t) ~(precision : Gpu.Precision.t)
+    (a : probe_solution list) (b : probe_solution list) : int option =
   let a_anchor = (List.nth a (List.length a - 1)).ps_batch in
   let b_first = (List.hd b).ps_batch in
   if b_first - a_anchor <= 1 then None
   else
-    let cost_a x = run_cost_at cost ~spec ~precision a x in
-    let cost_b x = run_cost_at cost ~spec ~precision b x in
+    let cost_a x = run_cost_at ~spec ~precision a x in
+    let cost_b x = run_cost_at ~spec ~precision b x in
     match (cost_a a_anchor, cost_b a_anchor, cost_a b_first, cost_b b_first) with
     | Some caa, Some cba, Some cab, Some cbb when caa <= cba && cbb <= cab ->
       (* Walk up from the anchor; stop at the last batch where plan A is
@@ -232,7 +230,6 @@ let build (cfg : Orchestrator.config) ~(model : string)
       probes
   in
   let runs = group_runs sols in
-  let cost = cfg.Orchestrator.identifier.Kernel_identifier.profiler.Gpu.Profiler.cost in
   let spec = cfg.Orchestrator.spec and precision = cfg.Orchestrator.precision in
   (* Upper boundary of each non-final run: refined crossover when the
      symbolic layer can price both sides, the run's anchor otherwise. *)
@@ -240,7 +237,7 @@ let build (cfg : Orchestrator.config) ~(model : string)
     | [] | [ _ ] -> []
     | a :: (b :: _ as rest) ->
       let bound =
-        match refine_crossover cost ~spec ~precision a b with
+        match refine_crossover ~spec ~precision a b with
         | Some c -> (c, true)
         | None -> ((List.nth a (List.length a - 1)).ps_batch, false)
       in
@@ -287,19 +284,6 @@ let in_table (t : t) (b : int) = b >= t.lo && b <= t.hi
     [[t.lo, t.hi]]. *)
 let plan_for_batch (t : t) (b : int) : range option =
   if not (in_table t b) then None else List.find_opt (fun (r : range) -> b >= r.lo && b <= r.hi) t.ranges
-
-(** [execution_probe t b] — the smallest probe batch [>= b] anywhere in
-    the table: the batch a server pads [b] up to so a materialized
-    anchor plan can execute it. Always exists inside [[t.lo, t.hi]]
-    because [t.hi] is a probe. *)
-let execution_probe (t : t) (b : int) : int option =
-  if not (in_table t b) then None
-  else
-    List.concat_map (fun (r : range) -> r.probes) t.ranges
-    |> List.filter (fun p -> p >= b)
-    |> function
-    | [] -> None
-    | ps -> Some (List.fold_left min max_int ps)
 
 (** [range_for_probe t p] — the range holding probe [p] (every probe lies
     inside its own run's range). *)

@@ -18,37 +18,38 @@
     extreme-aspect-ratio penalty that makes layout-folded MatMuls several
     times faster (Figure 8, ~3.5x). *)
 
-type config = {
-  tvm_base_eff : float;  (** achieved/peak bandwidth of a clean generated kernel *)
-  vendor_base_eff : float;  (** bandwidth efficiency of vendor library kernels *)
-  class_mix_penalty : float;  (** per extra primitive category in one kernel *)
-  codegen_decay : float;
-      (** coefficient of generated-code quality decay beyond
-          [codegen_free_prims] primitives *)
-  codegen_decay_exp : float;
-      (** superlinear exponent of the decay: auto-schedulers degrade
-          gracefully on mid-size fusions but fall off a cliff on very
-          large ones (the Figure 13 effect) *)
-  codegen_free_prims : int;
-  gemm_base_eff : float;  (** vendor GEMM efficiency at friendly shapes *)
-  gemm_tile : float;  (** dimension below which GEMM tiles are underfilled *)
-  ew_compute_eff : float;  (** CUDA-core efficiency of elementwise math *)
-  opaque_eff : float;
-}
+(* The single calibration of the roofline. There is no real device to
+   profile, so these are fixed, not tuned per run: every plan, golden
+   latency and bench baseline in the repository is priced with exactly
+   these values. *)
 
-let default_config =
-  {
-    tvm_base_eff = 0.82;
-    vendor_base_eff = 0.90;
-    class_mix_penalty = 0.28;
-    codegen_decay = 0.05;
-    codegen_decay_exp = 1.7;
-    codegen_free_prims = 5;
-    gemm_base_eff = 0.88;
-    gemm_tile = 64.0;
-    ew_compute_eff = 0.70;
-    opaque_eff = 0.50;
-  }
+(* Achieved/peak bandwidth of a clean generated (TVM-style) kernel. *)
+let tvm_base_eff = 0.82
+
+(* Bandwidth efficiency of vendor library kernels. *)
+let vendor_base_eff = 0.90
+
+(* Bandwidth efficiency of opaque (handwritten library) kernels. *)
+let opaque_eff = 0.50
+
+(* Bandwidth lost per extra parallelism class mixed into one kernel. *)
+let class_mix_penalty = 0.28
+
+(* Generated-code quality decays as [codegen_decay * excess ** codegen_decay_exp]
+   beyond [codegen_free_prims] primitives: auto-schedulers degrade
+   gracefully on mid-size fusions but fall off a cliff on very large ones
+   (the Figure 13 effect). *)
+let codegen_decay = 0.05
+let codegen_decay_exp = 1.7
+let codegen_free_prims = 5
+
+(* Vendor GEMM efficiency at friendly shapes, and the dimension below
+   which GEMM tiles are underfilled. *)
+let gemm_base_eff = 0.88
+let gemm_tile = 64.0
+
+(* CUDA-core efficiency of elementwise math. *)
+let ew_compute_eff = 0.70
 
 type backend_kind = Tvm | Vendor | OpaqueExec
 
@@ -63,24 +64,24 @@ let backend_of_string = function
   | "opaque" -> Some OpaqueExec
   | _ -> None
 
-(** [gemm_efficiency cfg (m, n, k)] — fraction of peak matrix throughput a
+(** [gemm_efficiency (m, n, k)] — fraction of peak matrix throughput a
     vendor GEMM achieves. Thin matrices underfill tiles: efficiency decays
     linearly below [gemm_tile] in any dimension. *)
-let gemm_efficiency (cfg : config) ((m, n, k) : int * int * int) : float =
-  let dim_eff d = Float.min 1.0 (float_of_int d /. cfg.gemm_tile) in
-  cfg.gemm_base_eff *. dim_eff m *. dim_eff n *. Float.min 1.0 (dim_eff k *. 2.0)
+let gemm_efficiency ((m, n, k) : int * int * int) : float =
+  let dim_eff d = Float.min 1.0 (float_of_int d /. gemm_tile) in
+  gemm_base_eff *. dim_eff m *. dim_eff n *. Float.min 1.0 (dim_eff k *. 2.0)
 
-(** [memory_efficiency cfg ~spec ~backend stats] — achieved fraction of
+(** [memory_efficiency ~spec ~backend stats] — achieved fraction of
     peak bandwidth for this kernel. Generated (TVM) kernels additionally
     scale with the architecture's [tvm_maturity] (§6.2: TVM lags TensorRT
     on A100). *)
-let memory_efficiency (cfg : config) ~(spec : Spec.t) ~(backend : backend_kind)
+let memory_efficiency ~(spec : Spec.t) ~(backend : backend_kind)
     (s : Stats.kernel_stats) : float =
   let base =
     match backend with
-    | Tvm -> cfg.tvm_base_eff *. spec.Spec.tvm_maturity
-    | Vendor -> cfg.vendor_base_eff
-    | OpaqueExec -> cfg.opaque_eff
+    | Tvm -> tvm_base_eff *. spec.Spec.tvm_maturity
+    | Vendor -> vendor_base_eff
+    | OpaqueExec -> opaque_eff
   in
   (* Parallelism classes, not categories: elementwise, broadcast and
      layout primitives are all injective maps with identical parallelism,
@@ -98,16 +99,16 @@ let memory_efficiency (cfg : config) ~(spec : Spec.t) ~(backend : backend_kind)
   in
   let mix = Float.max 0.0 (float_of_int (List.length exec_classes - 1)) in
   let size_decay =
-    cfg.codegen_decay
-    *. (float_of_int (Stdlib.max 0 (s.Stats.n_prims - cfg.codegen_free_prims))
-       ** cfg.codegen_decay_exp)
+    codegen_decay
+    *. (float_of_int (Stdlib.max 0 (s.Stats.n_prims - codegen_free_prims))
+       ** codegen_decay_exp)
   in
-  base /. (1.0 +. (cfg.class_mix_penalty *. mix) +. size_decay)
+  base /. (1.0 +. (class_mix_penalty *. mix) +. size_decay)
 
-(** [latency_us cfg ~spec ~precision ~backend g members ~outputs] — modelled
+(** [latency_us ~spec ~precision ~backend g members ~outputs] — modelled
     latency in microseconds of running the primitive set [members] as one
     kernel. *)
-let latency_us (cfg : config) ~(spec : Spec.t) ~(precision : Precision.t)
+let latency_us ~(spec : Spec.t) ~(precision : Precision.t)
     ~(backend : backend_kind) (g : Ir.Primgraph.t) (members : Ir.Bitset.t)
     ~(outputs : int list) : float =
   let s = Stats.kernel_stats g members ~outputs in
@@ -115,30 +116,26 @@ let latency_us (cfg : config) ~(spec : Spec.t) ~(precision : Precision.t)
   let traffic_bytes =
     (s.Stats.read_elems +. s.Stats.extra_read_elems +. s.Stats.write_elems) *. bytes_per
   in
-  let mem_eff = memory_efficiency cfg ~spec ~backend s in
+  let mem_eff = memory_efficiency ~spec ~backend s in
   let mem_time_s = traffic_bytes /. (spec.Spec.mem_bw_gb_s *. 1e9 *. mem_eff) in
   let compute_time_s =
     match s.Stats.linear_prims with
     | [] ->
       let peak = Precision.vector_tflops spec precision *. 1e12 in
-      s.Stats.flops /. (peak *. cfg.ew_compute_eff)
+      s.Stats.flops /. (peak *. ew_compute_eff)
     | lins ->
       let peak = Precision.peak_tflops spec precision *. 1e12 in
       let eff =
         List.fold_left
           (fun acc id ->
             match Stats.linear_dims g id with
-            | Some dims -> Float.min acc (gemm_efficiency cfg dims)
+            | Some dims -> Float.min acc (gemm_efficiency dims)
             | None -> acc)
           1.0 lins
       in
       s.Stats.flops /. (peak *. Float.max 0.01 eff)
   in
   (Float.max mem_time_s compute_time_s *. 1e6) +. spec.Spec.launch_overhead_us
-
-(** [plan_latency_us latencies] — Eq. (2): execution strategies cost the
-    sum of their kernels' latencies. *)
-let plan_latency_us (latencies : float list) = List.fold_left ( +. ) 0.0 latencies
 
 (** [substitute_shapes g shapes] — the same graph with every node's shape
     replaced. The cost model reads a graph only through shapes and op
@@ -156,50 +153,6 @@ let substitute_shapes (g : Ir.Primgraph.t) (shapes : Tensor.Shape.t array) : Ir.
       Array.mapi (fun i nd -> { nd with Ir.Graph.shape = shapes.(i) }) g.Ir.Graph.nodes;
   }
 
-(** Affine-in-batch latency summaries.
-
-    Traffic and FLOPs of a batch-parametric kernel are affine in the
-    batch, so its roofline latency is affine on each side of the
-    efficiency knees ([gemm_tile] underfill, memory- vs compute-bound
-    switchover). Fitting one affine form across probe evaluations gives a
-    cheap interpolator; [max_residual_us] reports how badly the knees
-    bend it — callers that need exactness evaluate the cost model at the
-    exact batch instead and use the summary as evidence/printing. *)
-module Batch_affine = struct
-  type t = { intercept_us : float; slope_us_per_batch : float; max_residual_us : float }
-
-  (** Least-squares affine fit over [(batch, latency_us)] probe
-      evaluations; [None] on fewer than two distinct batches. *)
-  let fit (points : (int * float) list) : t option =
-    match points with
-    | [] | [ _ ] -> None
-    | _ ->
-      let n = float_of_int (List.length points) in
-      let sx = List.fold_left (fun a (b, _) -> a +. float_of_int b) 0.0 points in
-      let sy = List.fold_left (fun a (_, l) -> a +. l) 0.0 points in
-      let sxx = List.fold_left (fun a (b, _) -> a +. (float_of_int b ** 2.0)) 0.0 points in
-      let sxy = List.fold_left (fun a (b, l) -> a +. (float_of_int b *. l)) 0.0 points in
-      let det = (n *. sxx) -. (sx *. sx) in
-      if Float.abs det < 1e-9 then None
-      else
-        let slope = ((n *. sxy) -. (sx *. sy)) /. det in
-        let intercept = (sy -. (slope *. sx)) /. n in
-        let residual =
-          List.fold_left
-            (fun acc (b, l) ->
-              Float.max acc (Float.abs (l -. (intercept +. (slope *. float_of_int b)))))
-            0.0 points
-        in
-        Some { intercept_us = intercept; slope_us_per_batch = slope; max_residual_us = residual }
-
-  let eval (t : t) (batch : int) : float =
-    t.intercept_us +. (t.slope_us_per_batch *. float_of_int batch)
-
-  let to_string (t : t) =
-    Printf.sprintf "%.3f + %.3f*b us (max residual %.3f us)" t.intercept_us
-      t.slope_us_per_batch t.max_residual_us
-end
-
 (** [workspace_bytes ~precision g members ~outputs] — modelled scratch
     footprint of running [members] as one kernel publishing [outputs]:
     the peak bytes of kernel-internal intermediates simultaneously live
@@ -215,8 +168,6 @@ let workspace_bytes ~(precision : Precision.t) (g : Ir.Primgraph.t)
   let order = List.filter (fun id -> Ir.Bitset.mem members id) (Ir.Graph.topo_order g) in
   let steps = List.length order in
   let outset = Ir.Bitset.of_list (Ir.Graph.length g) outputs in
-  let idx = Hashtbl.create 16 in
-  List.iteri (fun i id -> Hashtbl.replace idx id i) order;
   (* Last in-kernel consumer of each member (at least its own step). *)
   let last = Hashtbl.create 16 in
   List.iteri

@@ -92,56 +92,3 @@ let misses (cache : t) = sum_int cache (fun sh -> sh.misses)
 (** [distinct_kernels cache] — number of distinct candidate kernels
     profiled (cache entries). *)
 let distinct_kernels (cache : t) = sum_int cache (fun sh -> Hashtbl.length sh.table)
-
-(* ------------------------- measured timings -------------------------- *)
-
-(* Wall-clock measurements from real native-kernel executions, keyed by
-   the same canonical {!Profiler.signature} the modelled profiles use so
-   the two can be joined. A single process-global table (not per
-   instance): executor runs happen long after the orchestrator's cache
-   instance is gone, and the point of the data is to accumulate across
-   runs into one calibration set. Best-of-N is kept, matching how real
-   autotuners fold repeated measurements. *)
-
-type measurement = { mutable best_us : float; mutable samples : int }
-
-let measured : (string, measurement) Hashtbl.t = Hashtbl.create 256
-let measured_lock = Mutex.create ()
-let m_measured = Obs.Metrics.counter "profile_cache.measured_samples"
-
-let record_measured ~(key : string) ~(us : float) : unit =
-  if Float.is_finite us && us >= 0.0 then begin
-    Mutex.lock measured_lock;
-    (match Hashtbl.find_opt measured key with
-    | Some m ->
-      m.samples <- m.samples + 1;
-      if us < m.best_us then m.best_us <- us
-    | None -> Hashtbl.replace measured key { best_us = us; samples = 1 });
-    Mutex.unlock measured_lock;
-    Obs.Metrics.incr m_measured
-  end
-
-let measured_us (key : string) : float option =
-  Mutex.lock measured_lock;
-  let r = Hashtbl.find_opt measured key in
-  Mutex.unlock measured_lock;
-  Option.map (fun m -> m.best_us) r
-
-let measured_count (key : string) : int =
-  Mutex.lock measured_lock;
-  let r = Hashtbl.find_opt measured key in
-  Mutex.unlock measured_lock;
-  match r with Some m -> m.samples | None -> 0
-
-let measured_entries () : (string * float * int) list =
-  Mutex.lock measured_lock;
-  let l =
-    Hashtbl.fold (fun k m acc -> (k, m.best_us, m.samples) :: acc) measured []
-  in
-  Mutex.unlock measured_lock;
-  List.sort (fun (a, _, _) (b, _, _) -> compare a b) l
-
-let reset_measured () =
-  Mutex.lock measured_lock;
-  Hashtbl.reset measured;
-  Mutex.unlock measured_lock

@@ -38,29 +38,3 @@ val misses : t -> int
 
 (** Number of distinct candidate kernels profiled so far. *)
 val distinct_kernels : t -> int
-
-(** {1 Measured timings}
-
-    Wall-clock measurements from real native-kernel executions (the
-    C-codegen backend), keyed by the same canonical {!Profiler.signature}
-    as the modelled profiles so the two can be joined. The store is
-    process-global — it accumulates calibration data across executor
-    runs — and keeps the best (minimum) sample per kernel, the way real
-    autotuners fold repeated measurements. *)
-
-(** [record_measured ~key ~us] — fold one measured kernel wall-clock into
-    the store. Non-finite and negative samples are discarded. *)
-val record_measured : key:string -> us:float -> unit
-
-(** Best (minimum) measured latency for a kernel signature, if any. *)
-val measured_us : string -> float option
-
-(** Number of samples folded into a kernel signature's entry. *)
-val measured_count : string -> int
-
-(** All measured entries as [(signature, best_us, samples)], sorted by
-    signature. *)
-val measured_entries : unit -> (string * float * int) list
-
-(** Clear the process-global measured store (tests, bench isolation). *)
-val reset_measured : unit -> unit

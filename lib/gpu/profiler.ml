@@ -11,15 +11,14 @@
 open Ir
 
 type config = {
-  cost : Cost_model.config;
   max_tvm_prims : int;  (** "too many operators to generate within one kernel" (§6.5) *)
-  max_vendor_companions : int;
-      (** layout/elementwise primitives a vendor kernel can absorb around
-          its linear primitive *)
 }
 
-let default_config =
-  { cost = Cost_model.default_config; max_tvm_prims = 10; max_vendor_companions = 4 }
+let default_config = { max_tvm_prims = 10 }
+
+(* Layout/elementwise primitives a vendor kernel can absorb around its
+   linear primitive. *)
+let max_vendor_companions = 4
 
 type result = {
   latency_us : float;
@@ -107,7 +106,7 @@ let profile (cfg : config) ~(spec : Spec.t) ~(precision : Precision.t) (g : Prim
           let has_reduction =
             List.mem Primitive.Reduction s.Stats.classes
           in
-          if companions <= cfg.max_vendor_companions && not has_reduction then
+          if companions <= max_vendor_companions && not has_reduction then
             Some Cost_model.Vendor
           else None
         | _ :: _ :: _ -> None (* multiple linear primitives: reject (§6.5) *)
@@ -115,9 +114,7 @@ let profile (cfg : config) ~(spec : Spec.t) ~(precision : Precision.t) (g : Prim
     match backend with
     | None -> None
     | Some backend ->
-      let latency_us =
-        Cost_model.latency_us cfg.cost ~spec ~precision ~backend g members ~outputs
-      in
+      let latency_us = Cost_model.latency_us ~spec ~precision ~backend g members ~outputs in
       let sig_ = signature g members ~outputs ~spec ~precision in
       let tuning_time_s = simulated_tuning_time ~backend sig_ s.Stats.n_prims in
       Some { latency_us; backend; tuning_time_s }

@@ -12,16 +12,15 @@
 open Ir
 
 type config = {
-  cost : Cost_model.config;
   max_tvm_prims : int;
       (** "too many operators to generate within one kernel" (§6.5) *)
-  max_vendor_companions : int;
-      (** layout/elementwise primitives a vendor kernel absorbs around its
-          linear primitive (transposed operands, bias/activation
-          epilogues) *)
 }
 
 val default_config : config
+
+(** Layout/elementwise primitives a vendor kernel absorbs around its
+    linear primitive (transposed operands, bias/activation epilogues). *)
+val max_vendor_companions : int
 
 type result = {
   latency_us : float;

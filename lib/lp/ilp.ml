@@ -94,11 +94,6 @@ let reduced_lp_rows (minimize : float array)
   in
   ({ Simplex.minimize = reduced_minimize; rows = out_rows }, free, !fixed_cost)
 
-(* Convenience wrapper kept for testing/debugging single nodes. *)
-let _reduced_lp (p : problem) (fixed : int array) :
-    Simplex.problem * int array (* free index -> original index *) * float (* fixed cost *) =
-  reduced_lp_rows p.minimize p.rows fixed
-
 let is_feasible_binary (p : problem) (x : int array) : bool =
   List.for_all
     (fun (coeffs, rel, b) ->
@@ -115,7 +110,7 @@ let objective_of (p : problem) (x : int array) : float =
   Array.iteri (fun j c -> o := !o +. (c *. float_of_int x.(j))) p.minimize;
   !o
 
-(** [solve ?max_nodes ?rel_gap ?abs_gap ?lazy_dependencies ?warm_start p]
+(** [solve ?max_nodes ?rel_gap ?abs_gap ?warm_start p]
     — minimization by branch-and-bound. [warm_start] seeds
     the incumbent with a known feasible assignment (infeasible seeds are
     ignored). [rel_gap]/[abs_gap] prune nodes whose LP bound is within the
@@ -124,8 +119,7 @@ let objective_of (p : problem) (x : int array) : float =
     Exact (up to the gaps) unless the node budget is hit, in which case
     the best incumbent (if any) is returned with [NodeLimit] status.
 
-    With [lazy_dependencies] the
-    homogeneous covering rows ([>= 0], Korch's Eq. 4 dependency
+    The homogeneous covering rows ([>= 0], Korch's Eq. 4 dependency
     constraints) start outside the LP and are activated lazily when an
     integral candidate violates them: most are slack at the optimum, and
     dropping them shrinks each LP dramatically. Bounds from the reduced
@@ -137,8 +131,7 @@ let m_nodes = Obs.Metrics.counter "ilp.nodes"
 let m_incumbents = Obs.Metrics.counter "ilp.incumbents"
 
 let solve ?(max_nodes = 200_000) ?(rel_gap = 0.0) ?(abs_gap = 0.0)
-    ?(lazy_dependencies = false) ?(warm_start : int array option) (p : problem) :
-    solution option =
+    ?(warm_start : int array option) (p : problem) : solution option =
   Faults.check Faults.Ilp_solve;
   Obs.Metrics.incr m_solves;
   Obs.Span.with_ ~name:"ilp.solve"
@@ -158,10 +151,7 @@ let solve ?(max_nodes = 200_000) ?(rel_gap = 0.0) ?(abs_gap = 0.0)
   | _ -> ());
   let all_rows = Array.of_list p.rows in
   let row_active =
-    Array.map
-      (fun (_, rel, b) ->
-        not (lazy_dependencies && rel = Simplex.Ge && Float.abs b <= zero_eps))
-      all_rows
+    Array.map (fun (_, rel, b) -> not (rel = Simplex.Ge && Float.abs b <= zero_eps)) all_rows
   in
   let pool_version = ref 0 in
   let cached_version = ref (-1) in

@@ -6,7 +6,7 @@
     orchestration instances (covering rows plus homogeneous dependency
     implications):
 
-    - {b lazy dependency separation}: rows of the form [a . x >= 0] can be
+    - {b lazy dependency separation}: rows of the form [a . x >= 0] are
       kept out of each node's LP and activated only when a fractional or
       integral optimum violates them — most are slack at the optimum, so
       node LPs stay small while bounds equal the full-row bounds;
@@ -42,7 +42,7 @@ val is_feasible_binary : problem -> int array -> bool
 (** [objective_of p x] is [p.minimize . x]. *)
 val objective_of : problem -> int array -> float
 
-(** [solve ?max_nodes ?rel_gap ?abs_gap ?lazy_dependencies ?warm_start p]
+(** [solve ?max_nodes ?rel_gap ?abs_gap ?warm_start p]
     minimizes over binary assignments.
 
     @param max_nodes branch-and-bound node budget (default 200k), the
@@ -51,7 +51,6 @@ val objective_of : problem -> int array -> float
            every run and under any machine load
     @param rel_gap relative optimality tolerance (default 0: exact)
     @param abs_gap absolute optimality tolerance (default 0: exact)
-    @param lazy_dependencies treat homogeneous [>= 0] rows as lazy cuts
     @param warm_start feasible assignment used as the initial incumbent
            (silently ignored when infeasible or of the wrong width)
 
@@ -64,7 +63,6 @@ val solve :
   ?max_nodes:int ->
   ?rel_gap:float ->
   ?abs_gap:float ->
-  ?lazy_dependencies:bool ->
   ?warm_start:int array ->
   problem ->
   solution option

@@ -67,8 +67,6 @@ let register_native f = impl := Some f
 
 let native_impl () = !impl
 
-let native_available () = !impl <> None
-
 let warned_missing = ref false
 
 let warn_native_missing () =

@@ -59,9 +59,6 @@ val register_native : native_impl -> unit
 
 val native_impl : unit -> native_impl option
 
-(** Is a native implementation linked into this process? *)
-val native_available : unit -> bool
-
 (** Warn once on stderr that {!Native} was requested without an
     implementation linked. *)
 val warn_native_missing : unit -> unit

@@ -98,8 +98,8 @@ let test_memory_scales_with_size () =
 
 let test_gemm_aspect_ratio_penalty () =
   (* A thin GEMM runs at a small fraction of peak (Figure 8's 3.5x). *)
-  let fat = Gpu.Cost_model.gemm_efficiency Gpu.Cost_model.default_config (512, 512, 512) in
-  let thin = Gpu.Cost_model.gemm_efficiency Gpu.Cost_model.default_config (4096, 8, 512) in
+  let fat = Gpu.Cost_model.gemm_efficiency (512, 512, 512) in
+  let thin = Gpu.Cost_model.gemm_efficiency (4096, 8, 512) in
   Alcotest.(check bool) "thin gemm inefficient" true (thin < fat /. 3.0);
   Alcotest.(check bool) "fat gemm near base" true (fat > 0.8)
 
@@ -130,10 +130,10 @@ let test_vendor_accepts_epilogue () =
   | None -> Alcotest.fail "should accept matmul + small epilogue"
 
 let test_vendor_rejects_big_prologue () =
-  let g = matmul_with_companions ~n_ew:cfg.Gpu.Profiler.max_vendor_companions in
+  let g = matmul_with_companions ~n_ew:Gpu.Profiler.max_vendor_companions in
   (* exactly max companions accepted... *)
   Alcotest.(check bool) "at limit accepted" true (profile_all g <> None);
-  let g = matmul_with_companions ~n_ew:(cfg.Gpu.Profiler.max_vendor_companions + 1) in
+  let g = matmul_with_companions ~n_ew:(Gpu.Profiler.max_vendor_companions + 1) in
   Alcotest.(check bool) "over limit rejected" true (profile_all g = None)
 
 let test_reject_two_matmuls () =
@@ -238,6 +238,67 @@ let test_signature_structural () =
   in
   Alcotest.(check string) "same structure same signature" (sig_of r2) (sig_of r3)
 
+(* ---------------- golden latencies ---------------- *)
+
+let matmul_bias_relu () =
+  let b = Primgraph.B.create () in
+  let x = Primgraph.B.input b "x" [| 2048; 256 |] in
+  let w = Primgraph.B.const b (Const.randn [| 256; 16 |] 5) in
+  let bias = Primgraph.B.const b (Const.randn [| 16 |] 6) in
+  let mm = Primgraph.B.add b Primitive.Matmul [ x; w ] in
+  let bb = Primgraph.B.add b (Primitive.Broadcast (0, 2048)) [ bias ] in
+  let sum = Primgraph.B.add b (Primitive.Binary Primitive.Add) [ mm; bb ] in
+  let r = Primgraph.B.add b (Primitive.Unary Primitive.Relu) [ sum ] in
+  Primgraph.B.set_outputs b [ r ];
+  Primgraph.B.finish b
+
+let opaque_singleton () =
+  let b = Primgraph.B.create () in
+  let x = Primgraph.B.input b "x" [| 64; 1000 |] in
+  let o = Primgraph.B.add_raw b (Primitive.Opaque "topk") [ x ] [| 64; 5 |] in
+  Primgraph.B.set_outputs b [ o ];
+  Primgraph.B.finish b
+
+(* Modelled latencies (us) of four representative kernels, pinned bit for
+   bit on V100/FP32 and A100/TF32: any change to the roofline's formula or
+   calibration moves at least one of them, where the smoke bench's 2%
+   gate could let a small drift through. *)
+let golden_kernels =
+  [
+    ( "elementwise chain",
+      fst (ew_chain 8 (1 lsl 20)),
+      Gpu.Cost_model.Tvm,
+      20.045507137537086,
+      12.301223898837282 );
+    ("softmax row", softmax_graph 1024, Gpu.Cost_model.Tvm, 5.0852500813008126, 4.0470359693297766);
+    ( "matmul+bias+relu",
+      matmul_bias_relu (),
+      Gpu.Cost_model.Vendor,
+      9.876303416328895,
+      5.5656804315841093 );
+    ( "opaque singleton",
+      opaque_singleton (),
+      Gpu.Cost_model.OpaqueExec,
+      5.5717333333333334,
+      4.2523589995095632 );
+  ]
+
+let test_golden_latencies () =
+  List.iter
+    (fun (name, g, backend, v100_fp32, a100_tf32) ->
+      List.iter
+        (fun (spec, precision, expected) ->
+          let got =
+            Gpu.Cost_model.latency_us ~spec ~precision ~backend g (all_members g)
+              ~outputs:g.Graph.outputs
+          in
+          if not (Float.equal got expected) then
+            Alcotest.failf "%s on %s/%s: %.17g us, expected %.17g us" name spec.Gpu.Spec.name
+              (Gpu.Precision.to_string precision) got expected)
+        [ (Gpu.Spec.v100, Gpu.Precision.FP32, v100_fp32);
+          (Gpu.Spec.a100, Gpu.Precision.TF32, a100_tf32) ])
+    golden_kernels
+
 (* ---------------- qcheck properties ---------------- *)
 
 (* Latency grows monotonically with tensor size for a fixed kernel shape. *)
@@ -270,18 +331,19 @@ let prop_fusion_never_loses =
       in
       fused <= singles +. 1e-9)
 
-(* GEMM efficiency is monotone in each dimension and never exceeds base. *)
+(* GEMM efficiency is monotone in each dimension and never exceeds its
+   value at tile-filling shapes. *)
 let prop_gemm_efficiency_monotone =
   QCheck2.Test.make ~name:"gemm efficiency monotone and bounded" ~count:200
     QCheck2.Gen.(triple (int_range 1 512) (int_range 1 512) (int_range 1 512))
     (fun (m, n, k) ->
-      let c = Gpu.Cost_model.default_config in
-      let e = Gpu.Cost_model.gemm_efficiency c (m, n, k) in
+      let eff = Gpu.Cost_model.gemm_efficiency in
+      let e = eff (m, n, k) in
       e > 0.0
-      && e <= c.Gpu.Cost_model.gemm_base_eff +. 1e-9
-      && Gpu.Cost_model.gemm_efficiency c (m + 64, n, k) >= e -. 1e-9
-      && Gpu.Cost_model.gemm_efficiency c (m, n + 64, k) >= e -. 1e-9
-      && Gpu.Cost_model.gemm_efficiency c (m, n, k + 64) >= e -. 1e-9)
+      && e <= eff (4096, 4096, 4096) +. 1e-9
+      && eff (m + 64, n, k) >= e -. 1e-9
+      && eff (m, n + 64, k) >= e -. 1e-9
+      && eff (m, n, k + 64) >= e -. 1e-9)
 
 let gpu_properties =
   List.map QCheck_alcotest.to_alcotest
@@ -299,7 +361,8 @@ let () =
           Alcotest.test_case "softmax penalty" `Quick test_monolithic_softmax_pays_penalty;
           Alcotest.test_case "size scaling" `Quick test_memory_scales_with_size;
           Alcotest.test_case "gemm aspect ratio" `Quick test_gemm_aspect_ratio_penalty;
-          Alcotest.test_case "launch floor" `Quick test_launch_overhead_floor ] );
+          Alcotest.test_case "launch floor" `Quick test_launch_overhead_floor;
+          Alcotest.test_case "golden latencies" `Quick test_golden_latencies ] );
       ( "profiler rules",
         [ Alcotest.test_case "vendor epilogue" `Quick test_vendor_accepts_epilogue;
           Alcotest.test_case "vendor size limit" `Quick test_vendor_rejects_big_prologue;

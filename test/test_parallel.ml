@@ -206,8 +206,7 @@ let test_rejected_segments_deterministic () =
         jobs;
         identifier =
           { Korch.Kernel_identifier.default_config with
-            Korch.Kernel_identifier.profiler =
-              { Gpu.Profiler.default_config with Gpu.Profiler.max_tvm_prims = 0 } };
+            Korch.Kernel_identifier.profiler = { Gpu.Profiler.max_tvm_prims = 0 } };
       }
     in
     match Korch.Orchestrator.run_primgraph cfg g with

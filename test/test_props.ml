@@ -81,14 +81,14 @@ let prop_ilp_within_gaps =
       | None, _ -> false)
 
 let prop_ilp_lazy_warm_exact =
-  (* The orchestrator's configuration: lazy dependency separation and a
-     warm start. With zero gaps an Optimal status must match the oracle
-     exactly. *)
+  (* The orchestrator's configuration: lazy dependency separation (the
+     solver's only mode) and a warm start. With zero gaps an Optimal
+     status must match the oracle exactly. *)
   QCheck2.Test.make ~name:"Ilp.solve (lazy deps + warm start) matches the oracle exactly"
     ~count:200 ~print:print_blp random_blp (fun p ->
       let ex = Lp.Exhaustive.solve p in
       let warm_start = Option.map fst ex in
-      let bb = Lp.Ilp.solve ~lazy_dependencies:true ?warm_start p in
+      let bb = Lp.Ilp.solve ?warm_start p in
       match (bb, ex) with
       | Some s, Some (_, opt) when s.Lp.Ilp.status = Lp.Ilp.Optimal ->
         Lp.Ilp.is_feasible_binary p s.Lp.Ilp.x
